@@ -1,7 +1,8 @@
 // Package precond provides the block-Jacobi preconditioner used by the
-// paper's preconditioned CG (§5.1): 512×512 diagonal blocks factorized
-// once with Cholesky, sized to coincide with the memory-page fault
-// granularity so the factorizations double as recovery solvers.
+// paper's preconditioned CG (§5.1): page-sized diagonal blocks factorized
+// once with Cholesky (in envelope form, see sparse.Cholesky), sized to
+// coincide with the memory-page fault granularity so the factorizations
+// double as recovery solvers.
 //
 // The key property for cheap recovery (§3.2) is partial application: as a
 // block-diagonal operator, solving M u = v on the set of blocks that
@@ -134,12 +135,11 @@ func (p *BlockJacobi) SolveBlockInPlace(i int, buf []float64) error {
 
 // MulBlock computes u_i = M_ii v_i = A_ii v_i for block i — the forward
 // product inverse to ApplyBlock, used to rebuild a lost unpreconditioned
-// page from its surviving preconditioned image (d = M d̂). The dense
-// diagonal block is re-extracted on demand: this runs only on the rare
-// recovery path, so nothing is cached.
+// page from its surviving preconditioned image (d = M d̂). It multiplies
+// with the block's CSR rows directly, allocating nothing.
 func (p *BlockJacobi) MulBlock(i int, v, u []float64) error {
 	lo, hi := p.layout.Range(i)
-	p.a.DiagBlock(lo, hi).MulVec(v[lo:hi], u[lo:hi])
+	p.a.MulDiagBlock(v[lo:hi], u[lo:hi], lo, hi)
 	return nil
 }
 

@@ -197,3 +197,35 @@ func TestSolveBlockInPlaceMatchesApplyBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestMulBlockMatchesDenseBlock pins MulBlock, which multiplies with the
+// CSR rows of a block, to the dense diagonal block it used to build, bit
+// for bit, on the qa8fm and parabolic_fem analogues.
+func TestMulBlockMatchesDenseBlock(t *testing.T) {
+	for _, name := range []string{"qa8fm", "parabolic_fem"} {
+		a, err := matgen.PaperMatrix(name, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bs := range []int{512, 1000} {
+			bj := &BlockJacobi{a: a, layout: sparse.BlockLayout{N: a.N, BlockSize: bs}}
+			for seed := int64(1); seed <= 3; seed++ {
+				v := matgen.RandomVector(a.N, seed)
+				u := make([]float64, a.N)
+				for i := 0; i < bj.Layout().NumBlocks(); i++ {
+					if err := bj.MulBlock(i, v, u); err != nil {
+						t.Fatal(err)
+					}
+					lo, hi := bj.Layout().Range(i)
+					want := make([]float64, hi-lo)
+					a.DiagBlock(lo, hi).MulVec(v[lo:hi], want)
+					for k, w := range want {
+						if math.Float64bits(u[lo+k]) != math.Float64bits(w) {
+							t.Fatalf("%s bs=%d seed=%d block %d: u[%d] = %v, dense %v", name, bs, seed, i, lo+k, u[lo+k], w)
+						}
+					}
+				}
+			}
+		}
+	}
+}

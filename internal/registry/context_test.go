@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/matgen"
 	"repro/internal/sparse"
 )
 
@@ -189,6 +190,38 @@ func TestContextCacheEviction(t *testing.T) {
 	}
 	if _, ok := cc2.Get("a"); !ok {
 		t.Fatal("recently used a was evicted instead of LRU b")
+	}
+}
+
+// TestSizeBytesChargesHeldFactors pins the cache charge to the bytes the
+// block solvers hold. A 2×2 matrix is charged a few hundred bytes for its
+// Cholesky factor, not a page-sized dense factor; dense LU still counts
+// n²; and the envelope factors of qa8fm at page 1024 are charged well
+// under the 32 MB their dense form would take.
+func TestSizeBytesChargesHeldFactors(t *testing.T) {
+	tiny := sparse.NewCSRFromTriplets(2, 2, []sparse.Triplet{
+		{Row: 0, Col: 0, Val: 4}, {Row: 0, Col: 1, Val: 1},
+		{Row: 1, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 3},
+	})
+	octx := NewOperatorContext("tiny", tiny, 0)
+	csr := octx.SizeBytes()
+	octx.Blocks(true)
+	chol := octx.SizeBytes() - csr
+	if chol <= 0 || chol > 256 {
+		t.Fatalf("2x2 Cholesky charged %d bytes, want a few hundred at most", chol)
+	}
+	octx.Blocks(false)
+	if lu := octx.SizeBytes() - csr - chol; lu != (2*2+2)*8 {
+		t.Fatalf("2x2 LU charged %d bytes, want n²+n words = %d", lu, (2*2+2)*8)
+	}
+
+	q := NewOperatorContext("qa8fm", matgen.QA8FMAnalogue(4096), 1024)
+	csr = q.SizeBytes()
+	q.Blocks(true)
+	factors := q.SizeBytes() - csr
+	const dense = 4 * 1024 * 1024 * 8
+	if factors <= 0 || factors > dense/2 {
+		t.Fatalf("qa8fm page-1024 factors charged %d bytes, want (0, %d]: half the dense %d", factors, dense/2, dense)
 	}
 }
 

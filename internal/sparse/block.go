@@ -100,6 +100,19 @@ func (c *BlockSolverCache) PrefactorizeLenient() {
 	}
 }
 
+// Bytes returns the memory held by the cached factorizations. It reads
+// the cache, so it must not race a factorization: call it on a
+// prefactorized cache, whose lookups are read-only.
+func (c *BlockSolverCache) Bytes() int64 {
+	var b int64
+	for _, s := range c.cache {
+		if s != nil {
+			b += s.Bytes()
+		}
+	}
+	return b
+}
+
 // SolveDiagBlock solves A_ii * x_i = rhs for block i in place.
 func (c *BlockSolverCache) SolveDiagBlock(i int, rhs []float64) error {
 	s, err := c.Solver(i)

@@ -334,6 +334,25 @@ func (a *CSR) DiagBlock(lo, hi int) *Dense {
 	return d
 }
 
+// MulDiagBlock computes y = A[lo:hi, lo:hi] * x for compact x and y of
+// length hi-lo without building the dense block. Each row sums its
+// in-block entries in the CSR's ascending column order (see Validate), so
+// for finite x the result has the same bits as
+// DiagBlock(lo, hi).MulVec(x, y): the dense product only adds exact zeros
+// besides.
+func (a *CSR) MulDiagBlock(x, y []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		end := a.RowPtr[i+1]
+		var s float64
+		for p := a.RowPtr[i]; p < end; p++ {
+			if c := a.Cols[p]; c >= lo && c < hi {
+				s += a.Vals[p] * x[c-lo]
+			}
+		}
+		y[i-lo] = s
+	}
+}
+
 // Block extracts the dense sub-block A[rlo:rhi, clo:chi].
 func (a *CSR) Block(rlo, rhi, clo, chi int) *Dense {
 	d := NewDense(rhi-rlo, chi-clo)

@@ -79,7 +79,11 @@ func (a *CSR) buildDIA() {
 
 // diaBlockMul computes y[b0:b1] = (A*x)[b0:b1] by streaming each
 // diagonal across the block. y stays cache-hot, and each inner loop is
-// a contiguous bounds-check-free stream.
+// a contiguous stream, unrolled by four: a one-element body is 33 bytes
+// of code and runs about 35% slower when the linker places it across two
+// 64-byte lines, which any size change earlier in the package can cause,
+// while the unrolled body runs at the well-placed speed either way. Each
+// y element still adds its diagonals in ascending offset order.
 //
 //due:hotpath
 func (a *CSR) diaBlockMul(x, y []float64, b0, b1, n int) {
@@ -98,11 +102,19 @@ func (a *CSR) diaBlockMul(x, y []float64, b0, b1, n int) {
 		if i0 >= i1 {
 			continue
 		}
-		vv := a.diaVals[d][i0:i1]
+		vv := a.diaVals[d][i0:i1:i1]
 		xx := x[i0+o : i1+o : i1+o]
 		yy := y[i0:i1:i1]
-		for k, v := range vv {
-			yy[k] += v * xx[k]
+		k := 0
+		for ; k+4 <= len(vv); k += 4 {
+			v, xs, ys := vv[k:k+4:k+4], xx[k:k+4:k+4], yy[k:k+4:k+4]
+			ys[0] += v[0] * xs[0]
+			ys[1] += v[1] * xs[1]
+			ys[2] += v[2] * xs[2]
+			ys[3] += v[3] * xs[3]
+		}
+		for ; k < len(vv); k++ {
+			yy[k] += vv[k] * xx[k]
 		}
 	}
 }
